@@ -298,11 +298,10 @@ func BenchmarkEngineApplyRoute(b *testing.B) {
 }
 
 // newBenchTenant boots one fleet tenant for the gateway benchmarks: a
-// fresh untrained GNN agent on the named topology, one serving goroutine
-// per replica and per-request forward passes (MaxBatch 1), so throughput
-// differences between variants measure the replica axis alone rather than
-// cross-request batching amortisation.
-func newBenchTenant(b *testing.B, fleet *Fleet, id, topology string, replicas int) (*Tenant, []*DemandMatrix) {
+// fresh untrained GNN agent on the named topology served by a single
+// goroutine, so throughput differences between variants measure how many
+// requests share one forward pass (maxBatch) rather than the core count.
+func newBenchTenant(b *testing.B, fleet *Fleet, id, topology string, maxBatch int) (*Tenant, []*DemandMatrix) {
 	b.Helper()
 	agent, err := NewAgent(GNNPolicy, nil, WithMemory(3), WithGNNSize(16, 2))
 	if err != nil {
@@ -314,9 +313,8 @@ func newBenchTenant(b *testing.B, fleet *Fleet, id, topology string, replicas in
 	}
 	cfg := TenantConfig{
 		Topology: topology,
-		Replicas: replicas,
 		Workers:  1,
-		MaxBatch: 1,
+		MaxBatch: maxBatch,
 		// Deep enough that the benchmark's own concurrency never sheds;
 		// the overload variant overrides this.
 		QueueDepth: 1024,
@@ -333,24 +331,24 @@ func newBenchTenant(b *testing.B, fleet *Fleet, id, topology string, replicas in
 	return tenant, dms
 }
 
-// BenchmarkFleetRouteConcurrent is the read-path scale-out gate: 8-way
-// concurrent serving throughput through the fleet's admission gate at 1
-// versus 4 read replicas of one tenant. Each replica is a single serving
-// lane (one worker, per-request forwards), so the 4-replica variant has 4x
-// the parallel compute; CI requires it to clear 2x the single-replica
-// throughput on the 4-vCPU runners. The tenants=3 variant spreads the same
-// concurrency across three tenants on distinct topologies, and the
-// overloaded-sibling variant measures a quiet tenant's latency while a
-// rate-limited sibling is saturated with traffic that sheds as
-// ErrOverloaded — tenant isolation means the quiet ns/op stays in the same
-// regime as the replicas=1 baseline.
+// BenchmarkFleetRouteConcurrent is the batching gate: 8-way concurrent
+// serving throughput through the fleet's admission gate into one tenant
+// served by a single worker, with per-request forward passes (maxbatch=1)
+// versus up to 16 requests sharing one (maxbatch=16). Both variants have
+// the same compute, so the ratio measures batch amortisation; CI requires
+// maxbatch=16 to clear 2x the maxbatch=1 throughput. The tenants=3 variant
+// spreads the same concurrency across three tenants on distinct
+// topologies, and the overloaded-sibling variant measures a quiet tenant's
+// latency while a rate-limited sibling is saturated with traffic that sheds
+// as ErrOverloaded — tenant isolation means the quiet ns/op stays in the
+// same regime as the maxbatch=1 baseline.
 func BenchmarkFleetRouteConcurrent(b *testing.B) {
 	ctx := context.Background()
-	for _, replicas := range []int{1, 4} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
+	for _, maxBatch := range []int{1, 16} {
+		b.Run(fmt.Sprintf("maxbatch=%d", maxBatch), func(b *testing.B) {
 			fleet := NewFleet()
 			defer fleet.Close()
-			tenant, dms := newBenchTenant(b, fleet, "bench", "abilene", replicas)
+			tenant, dms := newBenchTenant(b, fleet, "bench", "abilene", maxBatch)
 			b.SetParallelism(8)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -365,7 +363,7 @@ func BenchmarkFleetRouteConcurrent(b *testing.B) {
 			})
 			b.StopTimer()
 			if shed := tenant.shed.Value(); shed > 0 {
-				b.Fatalf("benchmark traffic shed %d requests; the gate would be measuring admission, not replication", shed)
+				b.Fatalf("benchmark traffic shed %d requests; the gate would be measuring admission, not batching", shed)
 			}
 		})
 	}
@@ -375,7 +373,7 @@ func BenchmarkFleetRouteConcurrent(b *testing.B) {
 		tenants := make([]*Tenant, 3)
 		pools := make([][]*DemandMatrix, 3)
 		for i, topology := range []string{"abilene", "nsfnet", "b4"} {
-			tenants[i], pools[i] = newBenchTenant(b, fleet, topology, topology, 2)
+			tenants[i], pools[i] = newBenchTenant(b, fleet, topology, topology, 1)
 		}
 		var next int64
 		b.SetParallelism(8)

@@ -70,8 +70,7 @@ func run() error {
 		memory     = flag.Int("memory", 3, "demand history length (must match training)")
 		hidden     = flag.Int("gnn-hidden", 16, "GNN latent width (must match training)")
 		msgSteps   = flag.Int("gnn-steps", 2, "GNN message-passing steps (must match training)")
-		replicas   = flag.Int("replicas", 1, "read replicas serving the default tenant")
-		workers    = flag.Int("workers", 0, "serving goroutines per replica (0: GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "serving goroutines (0: GOMAXPROCS)")
 		maxBatch   = flag.Int("max-batch", 16, "max requests sharing one forward pass")
 		logFormat  = flag.String("log-format", "text", "log line format: text or json")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -119,7 +118,6 @@ func run() error {
 			Memory:     *memory,
 			GNNHidden:  *hidden,
 			GNNSteps:   *msgSteps,
-			Replicas:   *replicas,
 			Workers:    *workers,
 			MaxBatch:   *maxBatch,
 		}
@@ -132,10 +130,9 @@ func run() error {
 		if err != nil {
 			continue
 		}
-		snap := t.Snapshot()
+		snap := t.Engine().Snapshot()
 		slog.Info("tenant up", "tenant", id, "topology", t.Config().Topology,
-			"nodes", snap.Nodes, "edges", snap.Edges, "replicas", snap.Replicas,
-			"default", id == defaultID)
+			"nodes", snap.Nodes, "edges", snap.Edges, "default", id == defaultID)
 	}
 
 	start := time.Now()
@@ -450,7 +447,7 @@ func handleRoute(fleet *gddr.Fleet, alias string) http.HandlerFunc {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"tenant":           tenant.ID(),
 			"decision":         d,
-			"topology_version": tenant.Version(),
+			"topology_version": tenant.Engine().Version(),
 			"elapsed_us":       time.Since(start).Microseconds(),
 		})
 	}
@@ -491,14 +488,14 @@ func handleEvent(fleet *gddr.Fleet, alias string) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := tenant.Apply(r.Context(), event); err != nil {
+		if err := tenant.Engine().Apply(r.Context(), event); err != nil {
 			// A structurally valid event the current topology cannot absorb
 			// (unknown link, disconnecting removal) is a conflict, not a
 			// malformed request.
 			writeError(w, statusFor(err, http.StatusConflict), err)
 			return
 		}
-		snap := tenant.Snapshot()
+		snap := tenant.Engine().Snapshot()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"tenant":           tenant.ID(),
 			"applied":          event.Kind(),
@@ -516,14 +513,14 @@ func handleSwap(fleet *gddr.Fleet, alias string) http.HandlerFunc {
 			writeError(w, statusFor(err, http.StatusNotFound), err)
 			return
 		}
-		if err := tenant.SwapCheckpoint(r.Context(), http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		if err := tenant.Engine().SwapCheckpoint(r.Context(), http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
 			writeError(w, statusFor(err, http.StatusBadRequest), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"tenant":           tenant.ID(),
 			"swapped":          true,
-			"topology_version": tenant.Version(),
+			"topology_version": tenant.Engine().Version(),
 		})
 	}
 }
@@ -537,8 +534,8 @@ func handleStats(fleet *gddr.Fleet, alias string, start time.Time) http.HandlerF
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"tenant":         tenant.ID(),
-			"stats":          tenant.Stats(),
-			"topology":       tenant.Snapshot(),
+			"stats":          tenant.Engine().Stats(),
+			"topology":       tenant.Engine().Snapshot(),
 			"uptime_seconds": time.Since(start).Seconds(),
 		})
 	}
@@ -547,14 +544,14 @@ func handleStats(fleet *gddr.Fleet, alias string, start time.Time) http.HandlerF
 func handleHealthz(fleet *gddr.Fleet, defaultID string, start time.Time) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant, err := fleet.Tenant(defaultID)
-		if err != nil || tenant.Version() == 0 {
+		if err != nil || tenant.Engine().Version() == 0 {
 			writeError(w, http.StatusServiceUnavailable, gddr.ErrClosed)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"status":           "ok",
 			"tenants":          fleet.Len(),
-			"topology_version": tenant.Version(),
+			"topology_version": tenant.Engine().Version(),
 			"uptime_seconds":   time.Since(start).Seconds(),
 		})
 	}
@@ -617,7 +614,7 @@ func handleTenantCreate(fleet *gddr.Fleet) http.HandlerFunc {
 		slog.Info("tenant created", "tenant", tenant.ID(), "topology", tenant.Config().Topology)
 		writeJSON(w, http.StatusCreated, map[string]any{
 			"tenant":   tenant.ID(),
-			"topology": tenant.Snapshot(),
+			"topology": tenant.Engine().Snapshot(),
 			"config":   tenant.Config(),
 		})
 	}
@@ -647,7 +644,7 @@ func handleTenantList(fleet *gddr.Fleet, defaultID string) http.HandlerFunc {
 			if err != nil {
 				continue // deleted since List; the listing stays consistent
 			}
-			out[id] = tenantInfo{Topology: t.Config().Topology, Snapshot: t.Snapshot()}
+			out[id] = tenantInfo{Topology: t.Config().Topology, Snapshot: t.Engine().Snapshot()}
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"default": defaultID,

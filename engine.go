@@ -19,13 +19,12 @@ import (
 // topology through typed events and the same trained policy immediately
 // routes on the mutated graph, while SwapAgent hot-reloads the model.
 //
-// Internally the engine keeps an immutable serving snapshot (one or more
-// replica Routers bound to one frozen graph and sharing one demand history
-// — see WithReplicas) behind an atomic pointer. Route reads the snapshot
-// lock-free and spreads across the replicas round-robin; Apply and the swap
+// Internally the engine keeps an immutable serving snapshot (one Router
+// bound to one frozen graph, owning its demand history) behind an atomic
+// pointer. Route reads the snapshot lock-free; Apply and the swap
 // operations build a fully-validated replacement snapshot — mutated graph,
 // consistently renumbered demand history, probe-checked policy, a fresh
-// replica set — then publish it atomically and drain the old one.
+// Router — then publish it atomically and drain the old one.
 // In-flight Route calls complete on the snapshot that accepted them; calls
 // that lose the race to a retiring snapshot transparently retry on the new
 // one, so callers never observe a swap as an error. A failed event or swap
@@ -37,11 +36,6 @@ type Engine struct {
 	closed bool       //gddr:guardedby mu
 
 	state atomic.Pointer[engineState] //gddr:guardedby mu
-
-	// rr spreads Route calls across the current snapshot's read replicas
-	// round-robin; a single counter (rather than per-state) keeps the spread
-	// even across republishes.
-	rr atomic.Uint64
 
 	eventsApplied atomic.Int64
 	agentSwaps    atomic.Int64
@@ -80,18 +74,14 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 	}
 }
 
-// engineState is one immutable serving snapshot: N replica routers cloned
-// from the same (agent, graph, history) state, sharing one demand history
-// so any replica's decisions observe the full traffic stream. The replica
-// set is published and replaced as a whole behind the engine's atomic state
-// pointer — no request can ever observe a half-published set. next is
-// closed when the snapshot is replaced (or the engine closes), waking Route
-// callers that hit the drain window of a swap. nodes/edges cache the
-// topology's shape at build time so Stats and Snapshot never touch the
-// graph on the read path.
+// engineState is one immutable serving snapshot: the Router serving agent
+// on one frozen graph, published and replaced behind the engine's atomic
+// state pointer. next is closed when the snapshot is replaced (or the
+// engine closes), waking Route callers that hit the drain window of a
+// swap. nodes/edges cache the topology's shape at build time so Stats and
+// Snapshot never touch the graph on the read path.
 type engineState struct {
-	routers []*Router
-	hist    *demandHistory
+	router  *Router
 	agent   *Agent
 	version int64
 	nodes   int
@@ -113,8 +103,6 @@ type EngineStats struct {
 	// Nodes and Edges describe the current topology.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// Replicas is the number of read replicas serving the current snapshot.
-	Replicas int `json:"replicas"`
 }
 
 // TopologySnapshot is the constant-time description of the serving
@@ -127,24 +115,17 @@ type TopologySnapshot struct {
 	// Nodes and Edges describe the topology currently served.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// Replicas is the number of read replicas serving the snapshot.
-	Replicas int `json:"replicas"`
 }
 
-// Snapshot returns the current topology version, shape, and replica count
-// in one atomic read. It is the cheap accessor behind /stats and
-// /t/{id}/stats; use Stats for the cumulative serving counters.
+// Snapshot returns the current topology version and shape in one atomic
+// read. It is the cheap accessor behind /stats and /t/{id}/stats; use
+// Stats for the cumulative serving counters.
 func (e *Engine) Snapshot() TopologySnapshot {
 	st := e.state.Load()
 	if st == nil {
 		return TopologySnapshot{}
 	}
-	return TopologySnapshot{
-		Version:  st.version,
-		Nodes:    st.nodes,
-		Edges:    st.edges,
-		Replicas: len(st.routers),
-	}
+	return TopologySnapshot{Version: st.version, Nodes: st.nodes, Edges: st.edges}
 }
 
 // NewEngine builds a dynamic serving engine for agent on topology g. The
@@ -179,47 +160,25 @@ func NewEngine(agent *Agent, g *Graph, opts ...RouterOption) (*Engine, error) {
 	e.registry.GaugeFunc("gddr_engine_topology_edges", "Edges in the topology currently served.", func() float64 {
 		return float64(e.Snapshot().Edges)
 	})
-	e.registry.GaugeFunc("gddr_engine_replicas", "Read replicas serving the current snapshot (0 after Close).", func() float64 {
-		return float64(e.Snapshot().Replicas)
-	})
 	e.state.Store(st)
 	return e, nil
 }
 
-// buildEngineState builds one serving snapshot: cfg.replicas routers around
-// (agent, g), all sharing a fresh demand history seeded with hist. The
-// first replica is probe-validated unless skipProbe (it stands for all of
-// them — every replica runs the same policy on the same graph); the rest
-// always skip the probe. On any failure the routers built so far are closed
-// and nothing is published.
+// buildEngineState builds one serving snapshot: a Router around (agent, g)
+// whose demand history is seeded with hist, probe-validated unless
+// skipProbe. On failure nothing is published.
 func buildEngineState(agent *Agent, g *Graph, cfg routerConfig, hist []*DemandMatrix, skipProbe bool, version int64) (*engineState, error) {
 	if agent == nil {
 		return nil, fmt.Errorf("gddr: engine needs an agent")
 	}
-	for _, dm := range hist {
-		if dm == nil || dm.N != g.NumNodes() {
-			return nil, fmt.Errorf("gddr: warm-history matrix does not match the %d-node topology", g.NumNodes())
-		}
-	}
-	shared := newDemandHistory(agent.envConfig().Memory)
-	shared.set(hist)
-	cfg.history = nil
-	cfg.hist = shared
-	routers := make([]*Router, cfg.replicas)
-	for i := range routers {
-		cfg.skipProbe = skipProbe || i > 0
-		r, err := newRouter(agent, g, cfg)
-		if err != nil {
-			for _, prev := range routers[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		routers[i] = r
+	cfg.history = hist
+	cfg.skipProbe = skipProbe
+	r, err := newRouter(agent, g, cfg)
+	if err != nil {
+		return nil, err
 	}
 	return &engineState{
-		routers: routers,
-		hist:    shared,
+		router:  r,
 		agent:   agent,
 		version: version,
 		nodes:   g.NumNodes(),
@@ -232,14 +191,14 @@ func buildEngineState(agent *Agent, g *Graph, cfg routerConfig, hist []*DemandMa
 // engine's own event/swap metrics live in — the process's /metrics source.
 func (e *Engine) Metrics() *metrics.Registry { return e.registry }
 
-// Route computes the routing decision for dm on the current topology,
-// spreading calls round-robin across the snapshot's read replicas (see
-// WithReplicas). It is safe for concurrent use and never fails because of a
-// concurrent Apply or swap: a request that races with a snapshot retirement
-// waits out the drain (at most one in-flight batch) and retries on the
-// replacement. After Close it returns ErrClosed; a demand matrix sized for
-// a stale topology returns a size-mismatch error. As with Router.Route, dm
-// joins the demand history and must not be modified after the call.
+// Route computes the routing decision for dm on the current topology. It is
+// safe for concurrent use and never fails because of a concurrent Apply or
+// swap: a request that races with a snapshot retirement waits out the drain
+// (at most one in-flight batch) and retries on the replacement. After Close
+// it returns ErrClosed; a demand matrix sized for a stale topology returns a
+// size-mismatch error, and one DemandMatrix.Validate rejects is refused. As
+// with Router.Route, dm joins the demand history and must not be modified
+// after the call.
 //
 //gddr:hotpath
 func (e *Engine) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error) {
@@ -251,8 +210,7 @@ func (e *Engine) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 		if st == nil {
 			return nil, ErrClosed
 		}
-		r := st.routers[int(e.rr.Add(1)-1)%len(st.routers)]
-		d, err := r.Route(ctx, dm)
+		d, err := st.router.Route(ctx, dm)
 		if errors.Is(err, ErrClosed) {
 			select {
 			case <-st.next: // snapshot replaced (or engine closed); retry
@@ -365,7 +323,7 @@ func (e *Engine) SwapCheckpoint(ctx context.Context, r io.Reader) error {
 	st := e.state.Load()
 	// The MLP constructor sizes itself from a scenario's topology; hand it
 	// the topology currently being served.
-	scen := &Scenario{Items: []ScenarioItem{{Graph: st.routers[0].Graph()}}}
+	scen := &Scenario{Items: []ScenarioItem{{Graph: st.router.Graph()}}}
 	agent, err := NewAgent(st.agent.Kind, scen, WithConfig(st.agent.Config))
 	if err != nil {
 		return fmt.Errorf("gddr: rebuilding serving architecture: %w", err)
@@ -384,24 +342,22 @@ func (e *Engine) SwapCheckpoint(ctx context.Context, r io.Reader) error {
 // replaceLocked swaps the serving snapshot to (agent, transform(old)) with
 // validation before disruption and no lost observations:
 //
-//  1. The transition is validated and the replacement — every read replica
-//     of it — built and probe-checked against a provisional history, all
-//     while the old snapshot keeps serving — a rejected event or
-//     incompatible agent returns here with serving untouched.
-//  2. The old snapshot's replicas are drained, so its demand history is
-//     final; Route callers arriving in this window wait on old.next
-//     instead of failing.
+//  1. The transition is validated and the replacement Router built and
+//     probe-checked against a provisional history, all while the old
+//     snapshot keeps serving — a rejected event or incompatible agent
+//     returns here with serving untouched.
+//  2. The old Router is drained, so its demand history is final; Route
+//     callers arriving in this window wait on old.next instead of failing.
 //  3. The final history is re-transformed and carried into the replacement,
-//     which is then published as a whole: the replica set swaps behind one
-//     atomic store, so no request can observe a mix of old and new
-//     replicas. No demand matrix routed on the old snapshot is lost, and
-//     every post-return decision is computed on the new state.
+//     which is then published with one atomic store. No demand matrix
+//     routed on the old snapshot is lost, and every post-return decision is
+//     computed on the new state.
 //
 // skipProbe elides the probe forward pass for rebuilds around an
 // already-validated graph-size-agnostic agent. Callers hold e.mu.
 func (e *Engine) replaceLocked(old *engineState, agent *Agent, transform func(*Graph, []*DemandMatrix) (*Graph, []*DemandMatrix, error), skipProbe bool) error {
-	g := old.routers[0].Graph()
-	g2, hist, err := transform(g, old.hist.snapshot())
+	g := old.router.Graph()
+	g2, hist, err := transform(g, old.router.historySnapshot())
 	if err != nil {
 		return err
 	}
@@ -412,35 +368,19 @@ func (e *Engine) replaceLocked(old *engineState, agent *Agent, transform func(*G
 	}
 	drainStart := time.Now()
 	e.met.rebuildSeconds.Observe(drainStart.Sub(rebuildStart).Seconds())
-	for _, r := range old.routers {
-		r.Close()
-	}
+	old.router.Close()
 	e.met.drainSeconds.Observe(time.Since(drainStart).Seconds())
 	// Re-transform the now-final history (in-flight batches may have pushed
 	// matrices after the provisional snapshot). A transform that just
 	// succeeded on the same graph cannot fail on a longer history; if it
 	// somehow does, the provisional history stands.
-	if _, final, err := transform(g, old.hist.snapshot()); err == nil {
-		st.hist.set(final)
+	if _, final, err := transform(g, old.router.historySnapshot()); err == nil {
+		st.router.setHistory(final)
 	}
 	e.state.Store(st)
 	close(old.next)
-	for _, r := range old.routers {
-		e.foldStatsLocked(r)
-	}
+	e.retired.add(old.router.Stats())
 	return nil
-}
-
-// foldStatsLocked folds a retired router's counters into the cumulative
-// stats. Callers hold e.mu; the router must already be closed.
-func (e *Engine) foldStatsLocked(r *Router) {
-	s := r.Stats()
-	e.retired.Requests += s.Requests
-	e.retired.Batches += s.Batches
-	e.retired.ForwardPasses += s.ForwardPasses
-	e.retired.PolicyCacheHits += s.PolicyCacheHits
-	e.retired.StrategyHits += s.StrategyHits
-	e.retired.StrategyMisses += s.StrategyMisses
 }
 
 // Graph returns a copy of the topology currently being served (nil after
@@ -451,7 +391,7 @@ func (e *Engine) Graph() *Graph {
 	if st == nil {
 		return nil
 	}
-	return st.routers[0].Graph().Clone()
+	return st.router.Graph().Clone()
 }
 
 // Version returns the current topology version: 1 at construction,
@@ -477,19 +417,10 @@ func (e *Engine) Stats() EngineStats {
 	st := e.state.Load()
 	e.mu.Unlock()
 	if st != nil {
-		for _, r := range st.routers {
-			s := r.Stats()
-			stats.Requests += s.Requests
-			stats.Batches += s.Batches
-			stats.ForwardPasses += s.ForwardPasses
-			stats.PolicyCacheHits += s.PolicyCacheHits
-			stats.StrategyHits += s.StrategyHits
-			stats.StrategyMisses += s.StrategyMisses
-		}
+		stats.add(st.router.Stats())
 		stats.TopologyVersion = st.version
 		stats.Nodes = st.nodes
 		stats.Edges = st.edges
-		stats.Replicas = len(st.routers)
 	}
 	return stats
 }
@@ -506,12 +437,8 @@ func (e *Engine) Close() {
 	st := e.state.Load()
 	e.state.Store(nil)
 	if st != nil {
-		for _, r := range st.routers {
-			r.Close()
-		}
+		st.router.Close()
 		close(st.next) // wake waiters; they observe the nil state
-		for _, r := range st.routers {
-			e.foldStatsLocked(r)
-		}
+		e.retired.add(st.router.Stats())
 	}
 }

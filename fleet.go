@@ -70,7 +70,7 @@ func WithFleetRouterOptions(opts ...RouterOption) FleetOption {
 // A Fleet is the multi-tenant serving control plane: one process hosting
 // many independent (topology, model, history) tenants behind a shared
 // gateway. Each tenant owns a full Engine — its own graph, demand history,
-// replica set, and metrics registry — while the fleet owns only the tenant
+// serving Router, and metrics registry — while the fleet owns only the tenant
 // registry, the admission accounting, and the tenant-labelled fleet
 // metrics (see DESIGN.md "Tenant isolation contract"). Lookups (Tenant,
 // List) are lock-free reads of an immutable tenant map republished on
@@ -116,8 +116,8 @@ func (f *Fleet) Metrics() *metrics.Registry { return f.registry }
 
 // Create boots a tenant from its config: topology resolved from the
 // embedded set, agent built (and checkpoint-loaded) per the config, engine
-// started with the configured replicas. The tenant serves as soon as
-// Create returns.
+// started with the configured workers and batch bound. The tenant serves
+// as soon as Create returns.
 func (f *Fleet) Create(id string, cfg TenantConfig) (*Tenant, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -143,7 +143,7 @@ func (f *Fleet) CreateWithAgent(id string, cfg TenantConfig, agent *Agent, g *Gr
 	if !tenantIDPattern.MatchString(id) {
 		return nil, fmt.Errorf("gddr: invalid tenant id %q (want lowercase [a-z0-9_-], <= 64 chars, alphanumeric ends)", id)
 	}
-	if cfg.Replicas < 1 || cfg.QueueDepth < 1 || cfg.MaxBatch < 1 || cfg.RateLimit < 0 || cfg.Burst < 0 || cfg.Workers < 0 {
+	if cfg.QueueDepth < 1 || cfg.MaxBatch < 1 || cfg.RateLimit < 0 || cfg.Burst < 0 || cfg.Workers < 0 {
 		return nil, fmt.Errorf("gddr: invalid tenant config for %q", id)
 	}
 
@@ -160,10 +160,7 @@ func (f *Fleet) CreateWithAgent(id string, cfg TenantConfig, agent *Agent, g *Gr
 		return nil, fmt.Errorf("gddr: fleet is at its %d-tenant capacity", f.maxTenants)
 	}
 
-	opts := []RouterOption{
-		WithReplicas(cfg.Replicas),
-		WithMaxBatch(cfg.MaxBatch),
-	}
+	opts := []RouterOption{WithMaxBatch(cfg.MaxBatch)}
 	if cfg.Workers > 0 {
 		opts = append(opts, WithRouterWorkers(cfg.Workers))
 	}
@@ -186,8 +183,6 @@ func (f *Fleet) CreateWithAgent(id string, cfg TenantConfig, agent *Agent, g *Gr
 		latency: f.registry.Histogram("gddr_fleet_route_seconds",
 			"Admitted route latency through the tenant engine.", metrics.LatencyBuckets(), label),
 	}
-	f.registry.Gauge("gddr_fleet_replicas",
-		"Read replicas configured for the tenant (0 after delete).", label).Set(float64(cfg.Replicas))
 
 	next := make(map[string]*Tenant, len(cur)+1)
 	for k, v := range cur {
@@ -216,8 +211,6 @@ func (f *Fleet) Delete(id string) error {
 		}
 	}
 	f.tenants.Store(&next)
-	f.registry.Gauge("gddr_fleet_replicas",
-		"Read replicas configured for the tenant (0 after delete).", metrics.L("tenant", id)).Set(0)
 	f.mu.Unlock()
 	// Close outside the lock: it drains in-flight routes, which must not
 	// block sibling create/delete.
@@ -272,7 +265,7 @@ func (f *Fleet) Close() {
 //	{
 //	  "default": "prod",
 //	  "tenants": {
-//	    "prod":    {"topology": "abilene", "replicas": 4, "rate_limit": 500},
+//	    "prod":    {"topology": "abilene", "max_batch": 32, "rate_limit": 500},
 //	    "staging": {"topology": "nsfnet", "checkpoint": "staging.json"}
 //	  }
 //	}

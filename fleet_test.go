@@ -56,7 +56,7 @@ func TestFleetLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := tenant.Snapshot().Nodes; got != nodes {
+		if got := tenant.Engine().Snapshot().Nodes; got != nodes {
 			t.Fatalf("tenant %q serves %d nodes, want %d", id, got, nodes)
 		}
 		g, err := tenantGraph(tenant)
@@ -126,7 +126,7 @@ func TestTenantConfigValidate(t *testing.T) {
 		{"unknown topology", TenantConfig{Topology: "arpanet"}, "arpanet"},
 		{"unknown policy", TenantConfig{Topology: "abilene", Policy: "transformer"}, "transformer"},
 		{"negative memory", TenantConfig{Topology: "abilene", Memory: -1}, "memory"},
-		{"negative replicas", TenantConfig{Topology: "abilene", Replicas: -2}, "replicas"},
+		{"negative workers", TenantConfig{Topology: "abilene", Workers: -2}, "workers"},
 		{"negative rate", TenantConfig{Topology: "abilene", RateLimit: -1}, "rate_limit"},
 		{"negative queue", TenantConfig{Topology: "abilene", QueueDepth: -3}, "queue_depth"},
 	}
@@ -149,7 +149,7 @@ func TestTenantConfigDefaults(t *testing.T) {
 	if cfg.Policy != "gnn" || cfg.Memory != 3 || cfg.GNNHidden != 16 || cfg.GNNSteps != 2 {
 		t.Fatalf("policy defaults not applied: %+v", cfg)
 	}
-	if cfg.Replicas != 1 || cfg.MaxBatch != 16 || cfg.QueueDepth != defaultQueueDepth {
+	if cfg.MaxBatch != 16 || cfg.QueueDepth != defaultQueueDepth {
 		t.Fatalf("engine defaults not applied: %+v", cfg)
 	}
 	if cfg.Burst != 3 { // ceil(2.5): the bucket must admit at least the rate
@@ -227,98 +227,10 @@ func TestFleetRateLimit(t *testing.T) {
 	}
 }
 
-// TestEngineReplicasBitIdentical routes the same demand sequence through a
-// single-replica and a 4-replica engine in lockstep: round-robin spreads
-// consecutive requests across different replicas, so equality at every step
-// proves the replicas share one coherent demand history rather than each
-// observing a fraction of the traffic.
-func TestEngineReplicasBitIdentical(t *testing.T) {
-	agent := testRouterAgent(t)
-	g := Abilene()
-	single, err := NewEngine(agent, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	multi, err := NewEngine(agent, g, WithReplicas(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer multi.Close()
-
-	if got := multi.Snapshot().Replicas; got != 4 {
-		t.Fatalf("Snapshot().Replicas = %d, want 4", got)
-	}
-	ctx := context.Background()
-	for i := int64(0); i < 8; i++ {
-		dm := testDemand(g, i)
-		want, err := single.Route(ctx, dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := multi.Route(ctx, dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: replicated decision diverged from single-replica engine", i)
-		}
-	}
-}
-
-// TestEngineReplicasRepublishOnApply proves a topology event republishes
-// the whole replica set: the version advances, the replica count is intact,
-// and decisions still match a single-replica engine that absorbed the same
-// event.
-func TestEngineReplicasRepublishOnApply(t *testing.T) {
-	agent := testRouterAgent(t)
-	g := Abilene()
-	single, err := NewEngine(agent, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	multi, err := NewEngine(agent, g, WithReplicas(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer multi.Close()
-
-	ctx := context.Background()
-	event := CapacityChange{From: 0, To: 1, Capacity: 1234}
-	if err := single.Apply(ctx, event); err != nil {
-		t.Fatal(err)
-	}
-	if err := multi.Apply(ctx, event); err != nil {
-		t.Fatal(err)
-	}
-	snap := multi.Snapshot()
-	if snap.Version != 2 || snap.Replicas != 3 {
-		t.Fatalf("Snapshot() after Apply = %+v, want version 2 with 3 replicas", snap)
-	}
-	if got := multi.Stats().Replicas; got != 3 {
-		t.Fatalf("Stats().Replicas = %d, want 3", got)
-	}
-	for i := int64(0); i < 4; i++ {
-		dm := testDemand(g, i)
-		want, err := single.Route(ctx, dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := multi.Route(ctx, dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d after Apply: replicated decision diverged", i)
-		}
-	}
-}
-
 // steadyDecision computes the reference decision a steady demand converges
 // to on (agent, g) after the given events: once the history window holds
 // only dm, the decision is a pure function of (weights, topology, window),
-// so any replica serving the same state must reproduce it bit-for-bit.
+// so any snapshot serving the same state must reproduce it bit-for-bit.
 func steadyDecision(t *testing.T, agent *Agent, g *Graph, dm *DemandMatrix, events ...Event) *Decision {
 	t.Helper()
 	e, err := NewEngine(agent, g)
@@ -342,12 +254,12 @@ func steadyDecision(t *testing.T, agent *Agent, g *Graph, dm *DemandMatrix, even
 }
 
 // TestFleetRouteStress is the -race stress test: concurrent Route traffic
-// across a 3-replica tenant interleaved with capacity flaps, checkpoint
-// swaps of identical weights, and sibling tenant create/delete churn. With
-// a steady demand every decision is a pure function of the published
-// snapshot, so each observed decision must be bit-identical to one of the
-// two single-replica references (pre- and post-flap) — anything else means
-// a half-published replica set, a torn history, or cross-tenant bleed.
+// into one tenant interleaved with capacity flaps, checkpoint swaps of
+// identical weights, and sibling tenant create/delete churn. With a steady
+// demand every decision is a pure function of the published snapshot, so
+// each observed decision must be bit-identical to one of the two reference
+// engines' (pre- and post-flap) — anything else means a half-published
+// snapshot, a torn history, or cross-tenant bleed.
 func TestFleetRouteStress(t *testing.T) {
 	agent := testRouterAgent(t)
 	g := Abilene()
@@ -364,17 +276,16 @@ func TestFleetRouteStress(t *testing.T) {
 	fleet := NewFleet()
 	defer fleet.Close()
 	cfg := testTenantConfig("abilene")
-	cfg.Replicas = 3
 	cfg.QueueDepth = 256
 	tenant, err := fleet.CreateWithAgent("hot", cfg, agent, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := tenant.Apply(ctx, up); err != nil {
+	if err := tenant.Engine().Apply(ctx, up); err != nil {
 		t.Fatal(err)
 	}
-	// Saturate the shared history window before racing: every decision
+	// Saturate the history window before racing: every decision
 	// from here on sees window [dm, dm].
 	for i := 0; i < 2; i++ {
 		if _, err := tenant.Route(ctx, dm); err != nil {
@@ -397,7 +308,6 @@ func TestFleetRouteStress(t *testing.T) {
 		wg        sync.WaitGroup
 		stop      = make(chan struct{})
 		divergent atomic.Int64
-		torn      atomic.Int64
 	)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -412,9 +322,6 @@ func TestFleetRouteStress(t *testing.T) {
 				if !reflect.DeepEqual(d, refUp) && !reflect.DeepEqual(d, refDown) {
 					divergent.Add(1)
 				}
-				if snap := tenant.Snapshot(); snap.Replicas != 3 {
-					torn.Add(1)
-				}
 			}
 		}()
 	}
@@ -426,7 +333,7 @@ func TestFleetRouteStress(t *testing.T) {
 			if i%2 == 1 {
 				event = up
 			}
-			if err := tenant.Apply(ctx, event); err != nil {
+			if err := tenant.Engine().Apply(ctx, event); err != nil {
 				t.Errorf("stress Apply: %v", err)
 				return
 			}
@@ -436,7 +343,7 @@ func TestFleetRouteStress(t *testing.T) {
 	go func() { // swapper: hot-swaps the identical checkpoint
 		defer wg.Done()
 		for i := 0; i < swaps; i++ {
-			if err := tenant.SwapCheckpoint(ctx, bytes.NewReader(ckptBytes)); err != nil {
+			if err := tenant.Engine().SwapCheckpoint(ctx, bytes.NewReader(ckptBytes)); err != nil {
 				t.Errorf("stress SwapCheckpoint: %v", err)
 				return
 			}
@@ -471,10 +378,7 @@ func TestFleetRouteStress(t *testing.T) {
 	close(stop)
 
 	if n := divergent.Load(); n > 0 {
-		t.Errorf("%d concurrent decisions matched neither single-replica reference", n)
-	}
-	if n := torn.Load(); n > 0 {
-		t.Errorf("%d requests observed a half-published replica set", n)
+		t.Errorf("%d concurrent decisions matched neither reference", n)
 	}
 	if _, err := fleet.Tenant("hot"); err != nil {
 		t.Errorf("hot tenant lost during churn: %v", err)
@@ -487,7 +391,7 @@ func TestParseFleetFile(t *testing.T) {
 	file, err := parse(`{
 		"default": "prod",
 		"tenants": {
-			"prod":    {"topology": "abilene", "replicas": 4, "rate_limit": 500},
+			"prod":    {"topology": "abilene", "max_batch": 32, "rate_limit": 500},
 			"staging": {"topology": "nsfnet"}
 		}
 	}`)
@@ -497,7 +401,7 @@ func TestParseFleetFile(t *testing.T) {
 	if file.Default != "prod" || len(file.Tenants) != 2 {
 		t.Fatalf("parsed %+v, want explicit default prod with 2 tenants", file)
 	}
-	if file.Tenants["prod"].Replicas != 4 || file.Tenants["prod"].RateLimit != 500 {
+	if file.Tenants["prod"].MaxBatch != 32 || file.Tenants["prod"].RateLimit != 500 {
 		t.Fatalf("prod config lost fields: %+v", file.Tenants["prod"])
 	}
 
@@ -528,6 +432,13 @@ func TestParseFleetFile(t *testing.T) {
 		if _, err := parse(bad); err == nil {
 			t.Errorf("%s: ParseFleetFile accepted %s", name, bad)
 		}
+	}
+
+	// Engines serve each snapshot through one Router; a config still
+	// asking for read replicas must fail loudly, naming the field.
+	_, err = parse(`{"tenants": {"a": {"topology": "abilene", "replicas": 2}}}`)
+	if err == nil || !strings.Contains(err.Error(), `"replicas"`) {
+		t.Errorf("fleet file with replicas: ParseFleetFile = %v, want an unknown-field error naming \"replicas\"", err)
 	}
 }
 

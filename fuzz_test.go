@@ -56,7 +56,7 @@ func FuzzUnmarshalEvent(f *testing.F) {
 func FuzzParseFleetFile(f *testing.F) {
 	seeds := []string{
 		// The CI smoke-test fleet.
-		`{"default":"prod","tenants":{"prod":{"topology":"abilene","replicas":2},"nsf":{"topology":"nsfnet"},"b4":{"topology":"b4"}}}`,
+		`{"default":"prod","tenants":{"prod":{"topology":"abilene"},"nsf":{"topology":"nsfnet"},"b4":{"topology":"b4"}}}`,
 		`{"tenants":{"default":{"topology":"abilene"}}}`,
 		`{"tenants":{"solo":{"topology":"geant","rate_limit":500,"burst":50}}}`,
 		`{"default":"ghost","tenants":{"prod":{"topology":"abilene"}}}`,

@@ -161,18 +161,25 @@ func (d *DemandMatrix) MaxEntry() float64 {
 	return m
 }
 
-// Validate checks invariants (non-negative entries, zero diagonal).
+// Validate checks invariants (finite, non-negative entries, zero diagonal).
 func (d *DemandMatrix) Validate() error {
 	if len(d.Data) != d.N*d.N {
+		//gddr:allow hotpath error path
 		return fmt.Errorf("traffic: demand matrix length %d != %d^2", len(d.Data), d.N)
 	}
 	for s := 0; s < d.N; s++ {
 		for t := 0; t < d.N; t++ {
 			v := d.At(s, t)
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				//gddr:allow hotpath error path
+				return fmt.Errorf("traffic: non-finite demand %g at (%d,%d)", v, s, t)
+			}
 			if v < 0 {
+				//gddr:allow hotpath error path
 				return fmt.Errorf("traffic: negative demand %g at (%d,%d)", v, s, t)
 			}
 			if s == t && v != 0 {
+				//gddr:allow hotpath error path
 				return fmt.Errorf("traffic: non-zero diagonal %g at node %d", v, s)
 			}
 		}

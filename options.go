@@ -17,16 +17,6 @@ type routerConfig struct {
 	evalWorkers int
 	batchWindow time.Duration
 	history     []*DemandMatrix
-	// replicas is the number of read replicas an Engine snapshot clones
-	// from its serving state (default 1). Each replica is a full Router —
-	// its own batcher, worker pool, and fast-path caches — sharing the
-	// snapshot's demand history, so Route throughput scales across cores
-	// without contending on one batcher. Bare Routers ignore it.
-	replicas int
-	// hist shares a demand history across routers. Only the Engine sets it
-	// (one history per snapshot, shared by every replica); nil selects a
-	// private per-router history.
-	hist *demandHistory
 	// skipProbe elides the construction-time probe forward pass. Only the
 	// Engine sets it, when rebuilding a snapshot around a graph-size-
 	// agnostic (GNN-family) agent that an earlier snapshot already
@@ -99,20 +89,6 @@ func WithTracing(on bool) RouterOption {
 	return func(c *routerConfig) { c.tracing = on }
 }
 
-// WithReplicas makes an Engine serve each snapshot through n read replicas
-// (default 1): independent routers — each with its own request batcher,
-// worker pool, and fast-path caches — cloned from the snapshot's state and
-// sharing its demand history, with Route calls spread across them
-// round-robin. Replicas remove the single-batcher rendezvous from the read
-// path, so steady-demand throughput scales across cores; they are
-// re-published atomically on every Apply or model swap, and decisions stay
-// bit-identical to a single-replica engine because the policy, topology,
-// and observed history are shared state. NewRouter ignores the option (a
-// bare Router is exactly one replica).
-func WithReplicas(n int) RouterOption {
-	return func(c *routerConfig) { c.replicas = n }
-}
-
 // WithBatchWindow makes a serving worker that has picked up a request wait
 // up to d for more requests to share its forward pass (default 0: serve
 // immediately after draining already-queued requests). On busy cores the
@@ -141,9 +117,6 @@ func resolveRouterConfig(opts []RouterOption) routerConfig {
 	}
 	if cfg.evalWorkers < 1 {
 		cfg.evalWorkers = 1
-	}
-	if cfg.replicas < 1 {
-		cfg.replicas = 1
 	}
 	if cfg.batchWindow < 0 {
 		cfg.batchWindow = 0

@@ -137,11 +137,9 @@ type Router struct {
 	noCache     bool
 	zero        *DemandMatrix // cold-start history pad (all-zero demand)
 
-	// hist is the sliding demand-history window. A standalone Router owns a
-	// private one; an Engine built with replicas shares a single history
-	// among every replica router of a snapshot, so each replica's decisions
-	// observe the full traffic stream rather than the fraction that happened
-	// to land on it.
+	// hist is the sliding demand-history window every serving worker
+	// observes and pushes into. An Engine carries it from a retiring Router
+	// into its replacement (historySnapshot, setHistory).
 	hist *demandHistory
 
 	reqCh     chan *routeRequest
@@ -251,12 +249,9 @@ func growInt(buf []int, n int) []int {
 }
 
 // demandHistory is the sliding window of the most recently routed demand
-// matrices (oldest first, len <= memory): the policy's observation state,
-// factored out of the Router so it can be shared. A standalone Router owns
-// a private history; an Engine snapshot with N read replicas hands every
-// replica the same instance, so the observation window any replica serves
-// from is the one a single-replica engine would have seen — replicas scale
-// the compute path (batcher, caches, workers), never fork the state.
+// matrices (oldest first, len <= memory): the policy's observation state.
+// Each Router owns one; its mutex serialises the Router's concurrent
+// serving workers, which all observe and push into the same window.
 type demandHistory struct {
 	mu     sync.Mutex
 	memory int
@@ -273,9 +268,9 @@ func newDemandHistory(memory int) *demandHistory {
 }
 
 // observeAndPush atomically snapshots the observation window (cold-start
-// slots padded with pad) and appends the batch's matrices, so concurrent
-// batches — including batches on sibling replicas — serialise into one
-// coherent history: each batch observes everything pushed before it and
+// slots padded with pad) and appends the batch's matrices, so batches
+// served concurrently by different workers serialise into one coherent
+// history: each batch observes everything pushed before it and
 // nothing pushed after. The returned window is freshly allocated
 // (HistoryWindow copies the pointer slice) and safe to retain.
 func (h *demandHistory) observeAndPush(pad *DemandMatrix, batch []*routeRequest) []*DemandMatrix {
@@ -332,13 +327,6 @@ func (h *demandHistory) set(dms []*DemandMatrix) {
 	h.dms = append(h.dms[:0], dms...)
 }
 
-// push appends one matrix, trimming to the memory window.
-func (h *demandHistory) push(dm *DemandMatrix) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pushLocked(dm)
-}
-
 type routeRequest struct {
 	ctx      context.Context
 	dm       *DemandMatrix
@@ -392,10 +380,7 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 	r.observers.New = func() any { return new(env.Observer) }
 	r.scratch.New = func() any { return new(evalScratch) }
 	r.tracing = cfg.tracing
-	r.hist = cfg.hist
-	if r.hist == nil {
-		r.hist = newDemandHistory(ecfg.Memory)
-	}
+	r.hist = newDemandHistory(ecfg.Memory)
 	if !cfg.noMetrics {
 		r.registry = cfg.metrics
 		if r.registry == nil {
@@ -407,8 +392,8 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 		if dm == nil || dm.N != g.NumNodes() {
 			return nil, fmt.Errorf("gddr: warm-history matrix does not match the %d-node topology", g.NumNodes())
 		}
-		r.hist.push(dm)
 	}
+	r.hist.set(cfg.history)
 	// Probe: one decision on an empty demand matrix catches policies whose
 	// shape is bound to a different topology before serving starts. decide
 	// bypasses the caches and returns its forward-pass count to the caller,
@@ -433,9 +418,11 @@ func newRouter(agent *Agent, g *Graph, cfg routerConfig) (*Router, error) {
 // after Route returns (a mutated matrix would silently rewrite the demand
 // history past decisions were supposed to have observed, and defeat the
 // fast-path caches' change detection — submit a fresh or cloned matrix per
-// tick instead). Route is safe for concurrent use: requests that arrive
-// while the policy is busy are batched onto one shared forward pass.
-// Cancelling ctx abandons the request.
+// tick instead). A matrix DemandMatrix.Validate rejects (negative or
+// non-finite entries, non-zero diagonal) is refused before it can reach the
+// history. Route is safe for concurrent use: requests that arrive while the
+// policy is busy are batched onto one shared forward pass. Cancelling ctx
+// abandons the request.
 //
 //gddr:hotpath
 func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error) {
@@ -449,6 +436,9 @@ func (r *Router) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 	if dm.N != r.g.NumNodes() {
 		//gddr:allow hotpath size-mismatch validation error path
 		return nil, fmt.Errorf("gddr: demand matrix size %d != %d topology nodes", dm.N, r.g.NumNodes())
+	}
+	if err := dm.Validate(); err != nil {
+		return nil, err
 	}
 	// One request envelope (struct + response channel) per call is the
 	// batching contract: the envelope crosses a channel to the serving
@@ -485,6 +475,16 @@ func (r *Router) Stats() RouterStats {
 	}
 }
 
+// add accumulates o's counters into s.
+func (s *RouterStats) add(o RouterStats) {
+	s.Requests += o.Requests
+	s.Batches += o.Batches
+	s.ForwardPasses += o.ForwardPasses
+	s.PolicyCacheHits += o.PolicyCacheHits
+	s.StrategyHits += o.StrategyHits
+	s.StrategyMisses += o.StrategyMisses
+}
+
 // Graph returns the frozen topology the router serves. The graph is shared,
 // not copied; it must not be modified.
 func (r *Router) Graph() *Graph { return r.g }
@@ -512,7 +512,7 @@ func (r *Router) historySnapshot() []*DemandMatrix {
 
 // setHistory replaces the demand history (oldest first), trimming to the
 // memory window. The Engine uses it to carry the drained predecessor's
-// final history into a replacement snapshot before publishing it; the
+// final history into the replacement Router before publishing it; the
 // matrices must already be sized for the router's topology.
 func (r *Router) setHistory(hist []*DemandMatrix) {
 	r.hist.set(hist)

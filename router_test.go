@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -193,6 +194,63 @@ func TestRouterRejectsWrongDemandSize(t *testing.T) {
 	}
 	if _, err := router.Route(context.Background(), nil); err == nil {
 		t.Fatal("nil demand matrix accepted")
+	}
+}
+
+// TestRouteRejectsNonFiniteDemand proves NaN and ±Inf demands are refused
+// at every entry point — DemandMatrix.Validate, Router.Route and
+// Engine.Route — and never reach the demand history: the decisions routed
+// afterwards equal those of a router that never saw the bad matrices.
+func TestRouteRejectsNonFiniteDemand(t *testing.T) {
+	g := Abilene()
+	agent := testRouterAgent(t)
+	ctx := context.Background()
+	router, err := NewRouter(agent, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	engine, err := NewEngine(agent, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	clean, err := NewRouter(agent, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dm := testDemand(g, int64(i))
+		dm.Set(0, 1, bad)
+		if err := dm.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Validate with demand %g = %v, want a non-finite error", bad, err)
+		}
+		if _, err := router.Route(ctx, dm); err == nil {
+			t.Errorf("Router.Route accepted demand %g", bad)
+		}
+		if _, err := engine.Route(ctx, dm); err == nil {
+			t.Errorf("Engine.Route accepted demand %g", bad)
+		}
+	}
+	// memory=2: the third decision observes a window of routed matrices
+	// only, so a bad matrix in either history would show in every step.
+	for i := int64(0); i < 3; i++ {
+		dm := testDemand(g, 10+i)
+		want, err := clean.Route(ctx, dm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := router.Route(ctx, dm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDecision(t, fmt.Sprintf("router step %d", i), got, want)
+		if got, err = engine.Route(ctx, dm); err != nil {
+			t.Fatal(err)
+		}
+		sameDecision(t, fmt.Sprintf("engine step %d", i), got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package gddr
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -15,11 +14,11 @@ import (
 
 // TenantConfig describes one serving tenant: which embedded topology it
 // routes, the policy architecture and (optionally) saved model it serves
-// with, how its Engine is shaped (replicas, workers, batching), and the
-// admission limits protecting the rest of the fleet from its traffic. The
-// zero value of every optional field means "use the default"; the JSON
-// form is what fleet config files (-fleet fleet.json) and the POST /tenants
-// admin endpoint accept.
+// with, how its Engine is shaped (workers, batching), and the admission
+// limits protecting the rest of the fleet from its traffic. The zero value
+// of every optional field means "use the default"; the JSON form is what
+// fleet config files (-fleet fleet.json) and the POST /tenants admin
+// endpoint accept.
 type TenantConfig struct {
 	// Topology names the embedded topology this tenant serves (see
 	// topo.Names). Required.
@@ -36,10 +35,7 @@ type TenantConfig struct {
 	// (defaults 16 and 2).
 	GNNHidden int `json:"gnn_hidden,omitempty"`
 	GNNSteps  int `json:"gnn_steps,omitempty"`
-	// Replicas is the number of read replicas serving this tenant's
-	// snapshot (default 1; see WithReplicas).
-	Replicas int `json:"replicas,omitempty"`
-	// Workers is the per-replica serving goroutine count (0: GOMAXPROCS).
+	// Workers is the serving goroutine count (0: GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// MaxBatch bounds how many requests share one forward pass (default 16).
 	MaxBatch int `json:"max_batch,omitempty"`
@@ -76,9 +72,6 @@ func (c TenantConfig) withDefaults() TenantConfig {
 	if c.GNNSteps == 0 {
 		c.GNNSteps = 2
 	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 16
 	}
@@ -113,9 +106,6 @@ func (c TenantConfig) Validate() error {
 	}
 	if c.Memory < 1 {
 		return fmt.Errorf("gddr: tenant memory must be >= 1, got %d", c.Memory)
-	}
-	if c.Replicas < 1 {
-		return fmt.Errorf("gddr: tenant replicas must be >= 1, got %d", c.Replicas)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("gddr: tenant workers must be >= 0, got %d", c.Workers)
@@ -226,8 +216,10 @@ func (t *Tenant) ID() string { return t.id }
 // Config returns the tenant's resolved (defaulted) configuration.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
 
-// Engine exposes the tenant's underlying engine for operations the tenant
-// wrapper does not gate (metrics, graph inspection).
+// Engine exposes the tenant's underlying engine for every operation the
+// admission gate does not cover: topology events and model swaps (rare
+// control-plane calls whose loss would desynchronise the tenant from its
+// real network), stats, snapshots, metrics and graph inspection.
 func (t *Tenant) Engine() *Engine { return t.engine }
 
 // Route admits the request through the tenant's bounded queue and rate
@@ -246,33 +238,6 @@ func (t *Tenant) Route(ctx context.Context, dm *DemandMatrix) (*Decision, error)
 	t.latency.Observe(time.Since(begin).Seconds())
 	return d, err
 }
-
-// Apply forwards topology events to the tenant's engine. Mutations are not
-// admission-gated: they are rare control-plane operations whose loss would
-// desynchronize the tenant from its real network.
-func (t *Tenant) Apply(ctx context.Context, events ...Event) error {
-	return t.engine.Apply(ctx, events...)
-}
-
-// SwapAgent hot-swaps the tenant's model (see Engine.SwapAgent).
-func (t *Tenant) SwapAgent(ctx context.Context, agent *Agent) error {
-	return t.engine.SwapAgent(ctx, agent)
-}
-
-// SwapCheckpoint hot-swaps the tenant's model from a serialized checkpoint
-// (see Engine.SwapCheckpoint).
-func (t *Tenant) SwapCheckpoint(ctx context.Context, r io.Reader) error {
-	return t.engine.SwapCheckpoint(ctx, r)
-}
-
-// Stats returns the tenant engine's cumulative serving statistics.
-func (t *Tenant) Stats() EngineStats { return t.engine.Stats() }
-
-// Snapshot returns the tenant engine's current topology snapshot.
-func (t *Tenant) Snapshot() TopologySnapshot { return t.engine.Snapshot() }
-
-// Version returns the tenant's current topology version.
-func (t *Tenant) Version() int64 { return t.engine.Version() }
 
 // newTenantAgent builds the agent a tenant config describes: the named
 // architecture sized for the tenant's topology, loaded from the checkpoint
