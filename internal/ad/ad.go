@@ -25,7 +25,7 @@ import (
 	"gddr/internal/mat"
 )
 
-// opcode identifies the operation that produced a node; Backward dispatches
+// opcode identifies the operation that produced a node; Propagate dispatches
 // on it instead of invoking per-node closures (closures force a heap
 // allocation per recorded op, which is exactly what the arena avoids).
 type opcode uint8
@@ -229,16 +229,18 @@ func NewParam(name string, v *mat.Matrix) *Param {
 // ZeroGrad clears the parameter gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
-// Use introduces a parameter onto the tape; backward accumulates into the
-// parameter's persistent gradient.
+// Use introduces a parameter onto the tape; FlushParamGrads (run by
+// Backward) accumulates the node's gradient into the parameter's
+// persistent gradient.
 func (t *Tape) Use(p *Param) *Node {
 	n := t.newNode(opParam, p.Value)
 	n.param = p
 	return n
 }
 
-// Backward runs reverse-mode differentiation seeding d(loss)=1. The loss
-// node must be 1×1.
+// Backward runs reverse-mode differentiation seeding d(loss)=1 and adds
+// every parameter gradient into its Param.Grad. The loss node must be 1×1.
+// It is Propagate followed by FlushParamGrads.
 func (t *Tape) Backward(loss *Node) error {
 	if loss.Value.Rows != 1 || loss.Value.Cols != 1 {
 		return fmt.Errorf("ad: backward needs a scalar loss, got %dx%d", loss.Value.Rows, loss.Value.Cols)
@@ -247,19 +249,41 @@ func (t *Tape) Backward(loss *Node) error {
 		return fmt.Errorf("ad: loss node belongs to a different tape")
 	}
 	loss.Grad.Data[0] = 1
+	t.Propagate()
+	t.FlushParamGrads()
+	return nil
+}
+
+// Propagate runs the reverse sweep from whatever gradients the caller has
+// already written into output nodes' Grad, leaving every node's gradient
+// final. It reads parameter values but never writes Param.Grad (see
+// FlushParamGrads), so tapes sharing parameters may propagate
+// concurrently.
+func (t *Tape) Propagate() {
 	for i := t.used - 1; i >= 0; i-- {
 		t.nodes[i].backstep()
 	}
-	return nil
+}
+
+// FlushParamGrads adds each Use node's gradient into its Param.Grad,
+// walking the tape in reverse recording order — the order in which a
+// single reverse sweep would reach them. Use nodes have no operands, so
+// Propagate followed by FlushParamGrads is bit-identical to a sweep that
+// accumulates parameters as it goes; flushing several tapes one after the
+// other reproduces the sums of one tape recording them in sequence.
+func (t *Tape) FlushParamGrads() {
+	for i := t.used - 1; i >= 0; i-- {
+		if n := t.nodes[i]; n.op == opParam {
+			mat.AddInPlace(n.param.Grad, n.Grad)
+		}
+	}
 }
 
 // backstep propagates n's gradient into its operands.
 func (n *Node) backstep() {
 	g := n.Grad
 	switch n.op {
-	case opConst:
-	case opParam:
-		mat.AddInPlace(n.param.Grad, g)
+	case opConst, opParam: // leaves; FlushParamGrads handles opParam
 	case opMatMul:
 		mat.MatMulTransBAccum(n.a.Grad, g, n.b.Value)
 		mat.MatMulTransAAccum(n.b.Grad, n.a.Value, g)

@@ -3,11 +3,9 @@ package rl
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"gddr/internal/ad"
 	"gddr/internal/env"
-	"gddr/internal/nn"
 )
 
 // A2CConfig holds the hyperparameters of the synchronous advantage
@@ -95,48 +93,11 @@ func (tr *A2CTrainer) TrainWorkers(ctx context.Context, e env.Interface, totalSt
 // step applies one actor-critic gradient step over the whole rollout.
 func (tr *A2CTrainer) step(batch []*sample) error {
 	meanAdv, stdAdv := normalizeAdvantages(batch)
-	t := getTape()
-	defer putTape(t)
-	logStdNode := t.Use(tr.logStd)
-	invStd := t.Exp(t.Scale(logStdNode, -1))
-	var total *ad.Node
-	var pgSum, vSum float64
-	for _, s := range batch {
-		mean, value, err := tr.pol.Forward(t, s.obs)
-		if err != nil {
-			return fmt.Errorf("rl: a2c forward: %w", err)
-		}
-		k := float64(len(s.action))
-		actionNode := t.RowConstant(s.action)
-		diff := t.Sub(actionNode, mean)
-		z := t.MulScalar(diff, invStd)
-		logp := t.AddScalar(
-			t.Add(t.Scale(t.SumAll(t.Square(z)), -0.5), t.Scale(logStdNode, -k)),
-			-0.5*k*math.Log(2*math.Pi))
-		adv := (s.adv - meanAdv) / stdAdv
-		pgLoss := t.Scale(logp, -adv)
-		vLoss := t.Square(t.AddScalar(value, -s.ret))
-		pgSum += pgLoss.Value.Data[0]
-		vSum += vLoss.Value.Data[0]
-		entropy := t.Scale(logStdNode, k)
-		loss := t.Add(pgLoss, t.Scale(vLoss, tr.cfg.ValueCoef))
-		loss = t.Add(loss, t.Scale(entropy, -tr.cfg.EntropyCoef))
-		if total == nil {
-			total = loss
-		} else {
-			total = t.Add(total, loss)
-		}
-	}
-	total = t.Scale(total, 1/float64(len(batch)))
-	if err := t.Backward(total); err != nil {
-		return err
-	}
-	params := tr.Params()
-	if tr.cfg.MaxGradNorm > 0 {
-		nn.ClipGradNorm(params, tr.cfg.MaxGradNorm)
-	}
-	tr.opt.Step()
-	tr.clampLogStd()
-	tr.recordLosses(pgSum/float64(len(batch)), vSum/float64(len(batch)))
-	return nil
+	w := lossWeights{valueCoef: tr.cfg.ValueCoef, entropyCoef: tr.cfg.EntropyCoef, maxGradNorm: tr.cfg.MaxGradNorm}
+	return tr.optimise(batch, meanAdv, stdAdv, w, policyGradientLoss)
+}
+
+// policyGradientLoss is A2C's per-sample policy loss, −A·log π(a|s).
+func policyGradientLoss(t *ad.Tape, _ *sample, logp *ad.Node, adv float64) *ad.Node {
+	return t.Scale(logp, -adv)
 }

@@ -12,7 +12,8 @@ import (
 // The training pipeline is split into a collector and an updater: N rollout
 // workers step independent environment clones in parallel (the forward pass
 // only reads parameters, so workers share the policy), and the update pass
-// consumes the merged rollout single-threaded.
+// consumes the merged rollout (its per-sample passes run in parallel but
+// sum gradients in a fixed order; see update.go).
 //
 // Determinism contract: worker i draws actions from its own stream forked
 // from (seed, worker) and steps its own environment clone reseeded from

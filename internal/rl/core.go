@@ -98,6 +98,10 @@ type core struct {
 	rng    *rand.Rand
 	col    *collector
 
+	// tapes are the per-sample forward tapes of the gradient pass (see
+	// update.go), kept across minibatches so their arenas stay warm.
+	tapes []*ad.Tape
+
 	episodes  int
 	timesteps int
 

@@ -9,9 +9,13 @@
 // Training is a collector/updater pair: parallel rollout workers step
 // independent environment clones on deterministic per-worker streams, and
 // the update pass consumes the merged rollout in fixed worker order (see
-// collector.go for the determinism contract). The synchronous
-// advantage-actor-critic trainer (a2c.go) shares the same collector and
-// rollout buffer, differing only in the update rule.
+// collector.go for the determinism contract). The update itself runs each
+// minibatch's per-sample forward and backward passes in parallel on
+// GOMAXPROCS goroutines and adds their gradients in a fixed order, so
+// trained parameters do not depend on GOMAXPROCS (see update.go). The
+// synchronous advantage-actor-critic trainer (a2c.go) shares the same
+// collector, rollout buffer and gradient pass, differing only in its
+// per-sample policy loss and in taking one step per rollout.
 package rl
 
 import (
@@ -21,7 +25,6 @@ import (
 
 	"gddr/internal/ad"
 	"gddr/internal/env"
-	"gddr/internal/nn"
 )
 
 // Config holds the PPO hyperparameters (defaults mirror PPO2).
@@ -96,7 +99,10 @@ type EpisodeStat struct {
 	MeanRatio   float64 `json:"mean_ratio"`   // mean U_agent/U_opt over reward-bearing steps
 }
 
-// Forwarder is the policy contract shared by the RL trainers.
+// Forwarder is the policy contract shared by the RL trainers. Forward
+// must be safe for concurrent calls on distinct tapes: rollout workers and
+// the parallel update both call it from several goroutines at once, while
+// the parameters are not being modified.
 type Forwarder interface {
 	Forward(t *ad.Tape, obs *env.Observation) (mean, value *ad.Node, err error)
 	Params() []*ad.Param
@@ -197,14 +203,17 @@ func (tr *Trainer) update(batch []*sample) error {
 	for i := range idx {
 		idx[i] = i
 	}
+	w := lossWeights{valueCoef: tr.cfg.ValueCoef, entropyCoef: tr.cfg.EntropyCoef, maxGradNorm: tr.cfg.MaxGradNorm}
+	mb := make([]*sample, 0, tr.cfg.MiniBatch)
 	for epoch := 0; epoch < tr.cfg.Epochs; epoch++ {
 		tr.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += tr.cfg.MiniBatch {
-			end := start + tr.cfg.MiniBatch
-			if end > len(idx) {
-				end = len(idx)
+			end := min(start+tr.cfg.MiniBatch, len(idx))
+			mb = mb[:0]
+			for _, i := range idx[start:end] {
+				mb = append(mb, batch[i])
 			}
-			if err := tr.minibatch(batch, idx[start:end], meanAdv, stdAdv); err != nil {
+			if err := tr.optimise(mb, meanAdv, stdAdv, w, tr.clippedSurrogate); err != nil {
 				return err
 			}
 		}
@@ -212,59 +221,13 @@ func (tr *Trainer) update(batch []*sample) error {
 	return nil
 }
 
-// minibatch accumulates the PPO loss over the selected samples and applies
-// one Adam step.
-func (tr *Trainer) minibatch(batch []*sample, idx []int, meanAdv, stdAdv float64) error {
-	t := getTape()
-	defer putTape(t)
-	logStdNode := t.Use(tr.logStd)
-	invStd := t.Exp(t.Scale(logStdNode, -1))
-	var total *ad.Node
-	var pgSum, vSum float64
-	for _, i := range idx {
-		s := batch[i]
-		mean, value, err := tr.pol.Forward(t, s.obs)
-		if err != nil {
-			return fmt.Errorf("rl: minibatch forward: %w", err)
-		}
-		k := float64(len(s.action))
-		actionNode := t.RowConstant(s.action)
-		diff := t.Sub(actionNode, mean)
-		z := t.MulScalar(diff, invStd)
-		// log π(a|s) = -½Σz² - k·logσ - k/2·log2π
-		logp := t.AddScalar(
-			t.Add(t.Scale(t.SumAll(t.Square(z)), -0.5), t.Scale(logStdNode, -k)),
-			-0.5*k*math.Log(2*math.Pi))
-		ratio := t.Exp(t.AddScalar(logp, -s.logp))
-		adv := (s.adv - meanAdv) / stdAdv
-		surr1 := t.Scale(ratio, adv)
-		surr2 := t.Scale(t.ClampConst(ratio, 1-tr.cfg.ClipEps, 1+tr.cfg.ClipEps), adv)
-		pgLoss := t.Scale(t.Min(surr1, surr2), -1)
-		vLoss := t.Square(t.AddScalar(value, -s.ret))
-		pgSum += pgLoss.Value.Data[0]
-		vSum += vLoss.Value.Data[0]
-		// Gaussian entropy = k(logσ + ½log2πe); only logσ carries gradient.
-		entropy := t.Scale(logStdNode, k)
-		loss := t.Add(pgLoss, t.Scale(vLoss, tr.cfg.ValueCoef))
-		loss = t.Add(loss, t.Scale(entropy, -tr.cfg.EntropyCoef))
-		if total == nil {
-			total = loss
-		} else {
-			total = t.Add(total, loss)
-		}
-	}
-	total = t.Scale(total, 1/float64(len(idx)))
-	if err := t.Backward(total); err != nil {
-		return err
-	}
-	params := tr.Params()
-	if tr.cfg.MaxGradNorm > 0 {
-		nn.ClipGradNorm(params, tr.cfg.MaxGradNorm)
-	}
-	tr.opt.Step()
-	tr.clampLogStd()
-	tr.recordLosses(pgSum/float64(len(idx)), vSum/float64(len(idx)))
-	return nil
+// clippedSurrogate is PPO's per-sample policy loss,
+// −min(r·A, clip(r, 1−ε, 1+ε)·A) with probability ratio r = π(a|s)/π_old(a|s).
+func (tr *Trainer) clippedSurrogate(t *ad.Tape, s *sample, logp *ad.Node, adv float64) *ad.Node {
+	ratio := t.Exp(t.AddScalar(logp, -s.logp))
+	surr1 := t.Scale(ratio, adv)
+	surr2 := t.Scale(t.ClampConst(ratio, 1-tr.cfg.ClipEps, 1+tr.cfg.ClipEps), adv)
+	return t.Scale(t.Min(surr1, surr2), -1)
 }
 
 // Evaluate runs the policy deterministically for episodes full episodes on

@@ -161,12 +161,16 @@ func (d *DemandMatrix) MaxEntry() float64 {
 	return m
 }
 
-// Validate checks invariants (finite, non-negative entries, zero diagonal).
+// Validate checks invariants: finite, non-negative entries, a zero
+// diagonal, and a finite total. Every link load is bounded by the total, so
+// a matrix that passes routes to finite loads; finite entries alone do not
+// guarantee it (two entries of 1e308 overflow their sum).
 func (d *DemandMatrix) Validate() error {
 	if len(d.Data) != d.N*d.N {
 		//gddr:allow hotpath error path
 		return fmt.Errorf("traffic: demand matrix length %d != %d^2", len(d.Data), d.N)
 	}
+	var total float64
 	for s := 0; s < d.N; s++ {
 		for t := 0; t < d.N; t++ {
 			v := d.At(s, t)
@@ -182,7 +186,12 @@ func (d *DemandMatrix) Validate() error {
 				//gddr:allow hotpath error path
 				return fmt.Errorf("traffic: non-zero diagonal %g at node %d", v, s)
 			}
+			total += v
 		}
+	}
+	if math.IsInf(total, 0) {
+		//gddr:allow hotpath error path
+		return fmt.Errorf("traffic: non-finite demand total %g: the entries overflow when summed", total)
 	}
 	return nil
 }

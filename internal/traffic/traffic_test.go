@@ -39,6 +39,15 @@ func TestValidateCatchesBadMatrices(t *testing.T) {
 	if err := d2.Validate(); err == nil {
 		t.Fatal("negative demand accepted")
 	}
+	d3 := NewDemandMatrix(3)
+	d3.Set(0, 1, 1e308)
+	if err := d3.Validate(); err != nil {
+		t.Fatalf("single 1e308 entry rejected: %v", err)
+	}
+	d3.Set(2, 1, 1e308)
+	if err := d3.Validate(); err == nil {
+		t.Fatal("entries whose sum overflows accepted")
+	}
 }
 
 func TestCloneAndScale(t *testing.T) {

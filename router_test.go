@@ -197,10 +197,12 @@ func TestRouterRejectsWrongDemandSize(t *testing.T) {
 	}
 }
 
-// TestRouteRejectsNonFiniteDemand proves NaN and ±Inf demands are refused
-// at every entry point — DemandMatrix.Validate, Router.Route and
-// Engine.Route — and never reach the demand history: the decisions routed
-// afterwards equal those of a router that never saw the bad matrices.
+// TestRouteRejectsNonFiniteDemand proves NaN and ±Inf demands, and finite
+// entries whose total overflows, are refused at every entry point —
+// DemandMatrix.Validate, Router.Route and Engine.Route — and never reach
+// the demand history: the decisions routed afterwards equal those of a
+// router that never saw the bad matrices. A single huge but summable entry
+// still routes, to finite loads.
 func TestRouteRejectsNonFiniteDemand(t *testing.T) {
 	g := Abilene()
 	agent := testRouterAgent(t)
@@ -221,9 +223,12 @@ func TestRouteRejectsNonFiniteDemand(t *testing.T) {
 	}
 	defer clean.Close()
 
-	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// Each bad value fills two entries: 1e308 is finite, but the two
+	// overflow their sum.
+	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308} {
 		dm := testDemand(g, int64(i))
 		dm.Set(0, 1, bad)
+		dm.Set(1, 0, bad)
 		if err := dm.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("Validate with demand %g = %v, want a non-finite error", bad, err)
 		}
@@ -251,6 +256,23 @@ func TestRouteRejectsNonFiniteDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameDecision(t, fmt.Sprintf("engine step %d", i), got, want)
+	}
+
+	huge := testDemand(g, 20)
+	huge.Set(0, 1, 1e308)
+	for name, route := range map[string]func(context.Context, *DemandMatrix) (*Decision, error){
+		"Router.Route": router.Route,
+		"Engine.Route": engine.Route,
+	} {
+		d, err := route(ctx, huge)
+		if err != nil {
+			t.Fatalf("%s rejected a single 1e308 entry: %v", name, err)
+		}
+		for e, l := range d.Loads {
+			if math.IsNaN(l) || math.IsInf(l, 0) {
+				t.Fatalf("%s: edge %d load %g is not finite", name, e, l)
+			}
+		}
 	}
 }
 
